@@ -17,9 +17,11 @@ an untraced run. With --trace 1 they are its per_layer metrics: the
 workload runs twice, untraced and then traced (spans recorded by the
 benchmark's wrappers, written to <build>/traces/), and the per-layer
 metrics come from the traced run's spans plus the tracing overhead
-(traced minus untraced). The line before the result is the host
-fingerprint. Exit status 0 means a result was printed; anything else
-means the benchmark could not run (no result line).
+(traced minus untraced). The lines before the result are the tally of
+certified answers that hit the known certificate fault (README, "Known
+fault") and the host fingerprint. Exit status 0 means a result was
+printed; anything else means the benchmark could not run (no result
+line).
 """
 
 import argparse
@@ -112,7 +114,10 @@ def run_once(exe, args, trace, workdir, spans, deadline):
     except json.JSONDecodeError:
         fail(f"unreadable result line: {lines[-1][:200]}", 4)
     host = next((l for l in lines if l.startswith("host ")), "host {}")
-    return result, host
+    misses = next((l for l in lines
+                   if l.startswith("known_certificate_misses ")),
+                  "known_certificate_misses unknown")
+    return result, host, misses
 
 
 def check_names(wanted, got, kind, problems):
@@ -149,7 +154,8 @@ def main():
     tag = f"{args.workload}-{args.seed}-{os.getpid()}"
 
     problems = []
-    base, host = run_once(exe, args, False, runs / tag, None, deadline)
+    base, host, misses = run_once(exe, args, False, runs / tag, None,
+                                  deadline)
     check_names(spec["end_to_end"], base["metrics"], "end-to-end", problems)
     for name, m in base["metrics"].items():
         if name in [e["name"] for e in spec["end_to_end"]] and not m["value"] > 0:
@@ -161,9 +167,9 @@ def main():
     if args.trace:
         traces = bdir / "traces"
         traces.mkdir(parents=True, exist_ok=True)
-        traced, host = run_once(exe, args, True, runs / (tag + "-traced"),
-                                traces / f"{args.workload}-{args.seed}.tsv",
-                                deadline)
+        traced, host, traced_misses = run_once(
+            exe, args, True, runs / (tag + "-traced"),
+            traces / f"{args.workload}-{args.seed}.tsv", deadline)
         layers = dict(traced.get("layers", {}))
         for name in OVERHEAD_METRICS:
             b = base["metrics"].get(name, {}).get("value", 0.0)
@@ -182,6 +188,10 @@ def main():
 
     for p in problems:
         print(f"perfbench: {p}", file=sys.stderr)
+    print(misses)
+    if args.trace:
+        print(traced_misses.replace("known_certificate_misses",
+                                    "traced known_certificate_misses", 1))
     print(host)
     print(json.dumps({"correct": correct and not problems,
                       "attempted": attempted, "failed": failed,
