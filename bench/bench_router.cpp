@@ -15,6 +15,10 @@
 //                answer is uncertified or its certificate misses the
 //                true quantile. `backend` is the QuantileBackend enum
 //                value of the phi=0.5 answer.
+//   Every smooth/adversarial row also carries `certify_us`: the median
+//   time of the moment certificate alone (CertifiedQuantileIntervals over
+//   the whole phi grid, one RttBounder). The router runs with the solver
+//   cache off, so its timings are real solves.
 //   counters     one row of cumulative RouterStats over the whole run
 //                (solver failures absorbed, conditioning rejects,
 //                fallback depths) so a latency regression can be read
@@ -30,6 +34,7 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
+#include "core/bounds.h"
 #include "core/moments_sketch.h"
 #include "cube/summary_router.h"
 #include "numerics/stats.h"
@@ -83,8 +88,11 @@ std::vector<double> NamedData(const std::string& name, size_t n) {
 struct CellRun {
   std::vector<double> samples_ms;
   std::vector<CertifiedQuantile> answers;  // from the last rep
+  double certify_us = 0.0;  // median CertifiedQuantileIntervals time
 };
 
+// The router must run with the solver cache off: every rep re-queries
+// one sketch, so reps 2..n would otherwise time cache hits, not solves.
 CellRun RunCell(SummaryRouter* router, const MomentsSketch& s,
                 const KllSketch* kll, int reps) {
   const std::vector<double> phis(kPhiGrid, kPhiGrid + 5);
@@ -92,6 +100,11 @@ CellRun RunCell(SummaryRouter* router, const MomentsSketch& s,
   run.samples_ms = TimeReps(reps, [&] {
     run.answers = router->QueryMany(s, kll, phis);
   });
+  std::vector<QuantileInterval> intervals;
+  run.certify_us = 1e3 * MedianOf(TimeReps(reps, [&] {
+                     intervals = CertifiedQuantileIntervals(
+                         s, phis, RouterOptions().interval_steps);
+                   }));
   return run;
 }
 
@@ -104,7 +117,9 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(args.GetU64("reps", 21));
 
   JsonReport report("router");
-  SummaryRouter router;  // cumulative counters across the whole suite
+  RouterOptions options;
+  options.maxent.use_solver_cache = false;
+  SummaryRouter router(options);  // cumulative counters across the suite
 
   struct Suite {
     const char* section;
@@ -157,6 +172,7 @@ int main(int argc, char** argv) {
         report.Add(suite.section, std::string(name) + suffix, run.samples_ms,
                    {{"rows", static_cast<double>(rows)},
                     {"rel_interval_width_p50", median_width},
+                    {"certify_us", run.certify_us},
                     {"backend", backend}},
                    {{"certified", certified},
                     {"contains_truth", contains_truth}});
@@ -175,11 +191,15 @@ int main(int argc, char** argv) {
                static_cast<double>(st.degenerate_answers)},
               {"intersected_certificates",
                static_cast<double>(st.intersected_certificates)},
+              {"certificate_conflicts",
+               static_cast<double>(st.certificate_conflicts)},
               {"conditioning_rejects",
                static_cast<double>(st.conditioning_rejects)},
               {"solver_failures", static_cast<double>(st.solver_failures)},
               {"warm_solves", static_cast<double>(st.warm_solves)},
               {"cold_solves", static_cast<double>(st.cold_solves)},
+              {"solver_cache_hits",
+               static_cast<double>(st.solver_cache_hits)},
               {"iteration_capped", static_cast<double>(st.iteration_capped)},
               {"atomic_screen_hits",
                static_cast<double>(st.atomic_screen_hits)}});

@@ -10,6 +10,7 @@
 //         --require=msk_publisher_drain_seconds \
 //         --require=msk_query_seconds \
 //         --require=msk_router_interval_width \
+//         --require=msk_router_solver_cache_hits_total \
 //         --require=msk_solver_cache_hits_total \
 //         --require=msk_wal_append_seconds
 //

@@ -46,9 +46,10 @@ struct MaxEntOptions {
   /// a genuinely different distribution shape. Affects the solve path,
   /// not the solution.
   double warm_gate = 0.5;
-  /// Lets EstimateQuantiles consult the process-wide solver cache.
-  /// Disable to force a real solve — solver benchmarks and tests that
-  /// compare independent solves need the cold path, not a memo hit.
+  /// Lets EstimateQuantiles and SummaryRouter's hint-free solves consult
+  /// the process-wide solver cache. Disable to force a real solve —
+  /// solver benchmarks and tests that compare independent solves need
+  /// the cold path, not a memo hit.
   bool use_solver_cache = true;
 };
 

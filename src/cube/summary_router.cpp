@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
+#include <string>
 
 #include "core/atomic_fit.h"
+#include "core/solver_cache.h"
 #include "cube/cube_store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -57,6 +60,12 @@ void PublishRouterStats(const RouterStats& s) {
   static obs::Counter* const atomic_screen = reg.GetCounter(
       "msk_router_atomic_screen_hits_total", {},
       "Solver refusals due to the atomic (near-discrete) screen");
+  static obs::Counter* const cache_hits = reg.GetCounter(
+      "msk_router_solver_cache_hits_total", {},
+      "Hint-free solves answered from the global solver cache");
+  static obs::Counter* const conflicts = reg.GetCounter(
+      "msk_router_certificate_conflicts_total", {},
+      "Disjoint moment and KLL certificates (KLL enclosure kept)");
   queries->Add(s.queries);
   moments->Add(s.moments_answers);
   kll->Add(s.kll_answers);
@@ -71,6 +80,8 @@ void PublishRouterStats(const RouterStats& s) {
   cold_restarts->Add(s.cold_restarts);
   iter_capped->Add(s.iteration_capped);
   atomic_screen->Add(s.atomic_screen_hits);
+  cache_hits->Add(s.solver_cache_hits);
+  conflicts->Add(s.certificate_conflicts);
 }
 
 }  // namespace
@@ -95,29 +106,34 @@ SummaryRouter::SummaryRouter(RouterOptions options) : opt_(options) {}
 
 SummaryRouter::~SummaryRouter() { PublishRouterStats(stats_); }
 
-QuantileInterval SummaryRouter::IntervalFor(const MomentsSketch& moments,
-                                            const KllSketch* kll,
-                                            double phi) {
-  QuantileInterval iv = CertifiedQuantileInterval(moments, phi,
-                                                  opt_.interval_steps);
-  if (kll != nullptr && kll->count() > 0) {
-    auto kiv = kll->CertifiedInterval(phi);
-    if (kiv.ok()) {
-      // Both enclosures contain the true quantile, so so does their
-      // intersection. An empty intersection can only arise from the two
-      // summaries covering different rows (caller contract violation) or
-      // a floating-point sliver; keep the moments certificate, which is
-      // sound on its own.
-      const double lo = std::max(iv.lower, kiv.value().lower);
-      const double hi = std::min(iv.upper, kiv.value().upper);
-      if (lo <= hi) {
-        if (lo > iv.lower || hi < iv.upper) ++stats_.intersected_certificates;
-        iv.lower = lo;
-        iv.upper = hi;
-      }
+std::vector<QuantileInterval> SummaryRouter::IntervalsFor(
+    const MomentsSketch& moments, const KllSketch* kll,
+    const std::vector<double>& phis) {
+  obs::Span span("query.certify");
+  std::vector<QuantileInterval> ivs =
+      CertifiedQuantileIntervals(moments, phis, opt_.interval_steps);
+  if (kll == nullptr || kll->count() == 0) return ivs;
+  for (size_t i = 0; i < phis.size(); ++i) {
+    auto kiv = kll->CertifiedInterval(phis[i]);
+    if (!kiv.ok()) continue;
+    // Two sound enclosures of the true quantile overlap, and their
+    // intersection is sound too. Disjoint enclosures prove one of them
+    // wrong: the KLL one is a deterministic rank certificate, while the
+    // moment bounds are known to miss on some discrete and wide-mixture
+    // selections (core/bounds.cpp), so the KLL enclosure wins.
+    QuantileInterval& iv = ivs[i];
+    const double lo = std::max(iv.lower, kiv.value().lower);
+    const double hi = std::min(iv.upper, kiv.value().upper);
+    if (lo > hi) {
+      ++stats_.certificate_conflicts;
+      iv = {kiv.value().lower, kiv.value().upper};
+      continue;
     }
+    if (lo > iv.lower || hi < iv.upper) ++stats_.intersected_certificates;
+    iv.lower = lo;
+    iv.upper = hi;
   }
-  return iv;
+  return ivs;
 }
 
 CertifiedQuantile SummaryRouter::Query(const MomentsSketch& moments,
@@ -163,8 +179,10 @@ std::vector<CertifiedQuantile> SummaryRouter::QueryMany(
           "msk_router_interval_width", {},
           "Certified-interval widths (upper - lower) per answer",
           obs::HistogramUnit::kValue);
+  const std::vector<QuantileInterval> intervals =
+      IntervalsFor(moments, kll, phis);
   for (size_t i = 0; i < phis.size(); ++i) {
-    out[i].interval = IntervalFor(moments, kll, phis[i]);
+    out[i].interval = intervals[i];
     out[i].certified = true;
     width_hist->Observe(out[i].interval.upper - out[i].interval.lower);
   }
@@ -193,21 +211,44 @@ std::vector<CertifiedQuantile> SummaryRouter::QueryMany(
 
   // Primary path: maximum entropy solve (warm -> cold -> drop-moments
   // backoff happen inside SolveMaxEnt; we only see success or refusal).
-  const WarmStart* seed = hint != nullptr && hint->valid() ? hint : nullptr;
-  auto solved = SolveMaxEnt(moments, opt_.maxent, seed);
-  if (solved.ok()) {
-    const MaxEntDistribution& dist = solved.value();
-    const MaxEntDiagnostics& diag = dist.diagnostics();
-    if (diag.warm_started) {
-      ++stats_.warm_solves;
+  // A hint-free solve goes through the process-wide solver cache, so a
+  // re-polled selection costs a lookup; a hinted solve bypasses it, which
+  // keeps every answer a function of the sketch alone, whatever chain of
+  // queries came before.
+  std::shared_ptr<const MaxEntDistribution> dist;
+  Status solve_status;
+  {
+    obs::Span solve_span("query.solve");
+    const WarmStart* seed = hint != nullptr && hint->valid() ? hint : nullptr;
+    const bool cached = seed == nullptr && opt_.maxent.use_solver_cache;
+    std::string key;
+    if (cached) dist = GlobalSolverCache().Lookup(moments, opt_.maxent, &key);
+    if (dist != nullptr) {
+      ++stats_.solver_cache_hits;
     } else {
-      ++stats_.cold_solves;
+      auto solved = SolveMaxEnt(moments, opt_.maxent, seed);
+      if (solved.ok()) {
+        const MaxEntDiagnostics& diag = solved.value().diagnostics();
+        if (diag.warm_started) {
+          ++stats_.warm_solves;
+        } else {
+          ++stats_.cold_solves;
+        }
+        stats_.cold_restarts += static_cast<uint64_t>(diag.cold_restarts);
+        stats_.iteration_capped +=
+            static_cast<uint64_t>(diag.iteration_capped);
+        dist = std::make_shared<const MaxEntDistribution>(
+            std::move(solved).value());
+        if (cached) GlobalSolverCache().InsertWithKey(std::move(key), dist);
+      } else {
+        solve_status = solved.status();
+      }
     }
-    stats_.cold_restarts += static_cast<uint64_t>(diag.cold_restarts);
-    stats_.iteration_capped += static_cast<uint64_t>(diag.iteration_capped);
-    last_warm_ = dist.warm_start();
+  }
+  if (dist != nullptr) {
+    last_warm_ = dist->warm_start();
     for (size_t i = 0; i < phis.size(); ++i) {
-      out[i].estimate = Clamp(dist.Quantile(phis[i]), out[i].interval.lower,
+      out[i].estimate = Clamp(dist->Quantile(phis[i]), out[i].interval.lower,
                               out[i].interval.upper);
       out[i].backend = QuantileBackend::kMoments;
       ++stats_.moments_answers;
@@ -218,7 +259,7 @@ std::vector<CertifiedQuantile> SummaryRouter::QueryMany(
   // Solver refused or diverged past its own retries. Absorb the failure
   // and degrade: the certificates above already hold.
   ++stats_.solver_failures;
-  if (solved.status().message().find("atomic") != std::string::npos) {
+  if (solve_status.message().find("atomic") != std::string::npos) {
     ++stats_.atomic_screen_hits;
   }
 

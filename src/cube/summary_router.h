@@ -19,10 +19,18 @@
 // The solve path is a bounded retry/fallback chain; no query ever
 // returns an unbounded-error or failed answer on non-empty data:
 //
+//   0. certificates for every phi first, from one RttBounder (the
+//      moment bounds' invariants are built once per query); when the
+//      moment and KLL enclosures are disjoint — which proves the moment
+//      one wrong — the KLL enclosure is kept and counted in
+//      RouterStats::certificate_conflicts;
 //   1. conditioning pre-screen: Hankel condition number above
 //      kappa_route with a KLL present routes straight to KLL;
-//   2. warm maxent solve (hint) -> cold restart on seed failure
-//      (inside SolveMaxEnt) -> drop-moments backoff;
+//   2. without a hint (and with MaxEntOptions::use_solver_cache) the
+//      process-wide solver cache first, a cold solve published to it on
+//      a miss; with a hint, a warm solve that neither reads nor writes
+//      the cache. Inside SolveMaxEnt: cold restart on seed failure ->
+//      drop-moments backoff;
 //   3. solver refused/diverged: atomic-fit estimate (near-discrete
 //      cells), still certified by the moment bounds;
 //   4. atomic fit inapplicable: KLL estimate when present;
@@ -91,10 +99,16 @@ struct RouterStats {
   uint64_t bounds_fallbacks = 0;
   uint64_t degenerate_answers = 0;
   uint64_t intersected_certificates = 0;  // moments interval ∩ KLL interval
+  /// Moment and KLL certificates that were disjoint; the answer kept the
+  /// KLL enclosure (two sound enclosures always overlap).
+  uint64_t certificate_conflicts = 0;
   uint64_t conditioning_rejects = 0;  // pre-screen skipped the solve
   uint64_t solver_failures = 0;       // maxent refused/diverged (absorbed)
   uint64_t warm_solves = 0;
   uint64_t cold_solves = 0;
+  /// Hint-free solves answered by the global solver cache (counted in
+  /// neither warm_solves nor cold_solves).
+  uint64_t solver_cache_hits = 0;
   uint64_t cold_restarts = 0;
   uint64_t iteration_capped = 0;
   uint64_t atomic_screen_hits = 0;
@@ -107,10 +121,12 @@ struct RouterStats {
     bounds_fallbacks += other.bounds_fallbacks;
     degenerate_answers += other.degenerate_answers;
     intersected_certificates += other.intersected_certificates;
+    certificate_conflicts += other.certificate_conflicts;
     conditioning_rejects += other.conditioning_rejects;
     solver_failures += other.solver_failures;
     warm_solves += other.warm_solves;
     cold_solves += other.cold_solves;
+    solver_cache_hits += other.solver_cache_hits;
     cold_restarts += other.cold_restarts;
     iteration_capped += other.iteration_capped;
     atomic_screen_hits += other.atomic_screen_hits;
@@ -130,7 +146,9 @@ class SummaryRouter {
   /// Certified phi-quantile from a cell/group's moments sketch plus its
   /// optional KLL rank sketch (nullptr when the cell has none). The two
   /// summaries must cover the same rows — the router intersects their
-  /// certificates. `hint` warm-starts the maxent solve.
+  /// certificates. `hint` warm-starts the maxent solve; without one, the
+  /// solve goes through the process-wide solver cache when
+  /// `options.maxent.use_solver_cache` is set.
   CertifiedQuantile Query(const MomentsSketch& moments, const KllSketch* kll,
                           double phi, const WarmStart* hint = nullptr);
 
@@ -150,10 +168,12 @@ class SummaryRouter {
   void ResetStats() { stats_ = RouterStats{}; }
 
  private:
-  /// Certified interval for one phi: moments bounds, intersected with
-  /// the KLL certificate when present.
-  QuantileInterval IntervalFor(const MomentsSketch& moments,
-                               const KllSketch* kll, double phi);
+  /// Certified intervals for every phi: moment bounds (one RttBounder
+  /// shared by all phis), intersected with the KLL certificate when
+  /// present; the KLL enclosure alone when the two are disjoint.
+  std::vector<QuantileInterval> IntervalsFor(const MomentsSketch& moments,
+                                             const KllSketch* kll,
+                                             const std::vector<double>& phis);
 
   RouterOptions opt_;
   RouterStats stats_;

@@ -17,7 +17,7 @@
 // Span taxonomy (see src/cube/README.md and src/ingest/README.md):
 //   query.where | query.quantile | query.certified |
 //   query.certified_groupby | query.groupby | query.threshold |
-//   query.router | query.lane_solve
+//   query.router | query.certify | query.solve | query.lane_solve
 //   ingest.drain | ingest.publish | ingest.wal_append |
 //   ingest.checkpoint | ingest.recover
 //   replica.ship | replica.apply | replica.resync | replica.heartbeat

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/bounds.h"
@@ -114,6 +118,128 @@ TEST(CertifiedIntervalTest, TightensBeyondMinMaxOnSmoothData) {
   EXPECT_GT(iv.lower, sketch.min());
   EXPECT_LT(iv.upper, sketch.max());
   EXPECT_LT(iv.width(), 0.9 * (sketch.max() - sketch.min()));
+}
+
+// The certificate as a plain bisection over the public RttBound, one
+// fresh bound evaluation per probe: what CertifiedQuantileInterval(s)
+// must reproduce bit for bit while sharing one RttBounder and memoised
+// probes.
+QuantileInterval ReferenceInterval(const MomentsSketch& sketch, double phi,
+                                   int steps) {
+  if (sketch.count() == 0) return QuantileInterval{0.0, 0.0};
+  QuantileInterval out{sketch.min(), sketch.max()};
+  if (sketch.min() >= sketch.max() || steps <= 0) return out;
+  const double n = static_cast<double>(sketch.count());
+  const double r = std::max(1.0, std::min(std::ceil(phi * n), n));
+  double lo = sketch.min(), hi = sketch.max();
+  for (int i = 0; i < steps; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (!(mid > lo && mid < hi)) break;
+    if (RttBound(sketch, mid).upper < r) {
+      out.lower = std::max(out.lower, mid);
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  lo = sketch.min();
+  hi = sketch.max();
+  for (int i = 0; i < steps; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (!(mid > lo && mid < hi)) break;
+    if (RttBound(sketch, mid).lower >= r) {
+      out.upper = std::min(out.upper, mid);
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  if (out.lower > out.upper) return QuantileInterval{sketch.min(), sketch.max()};
+  return out;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// The seven generated datasets plus the shapes that take the bounds'
+// degenerate branches: a point mass, two atoms (singular Hankel matrix)
+// and negative values (log moments unusable).
+std::vector<std::pair<std::string, MomentsSketch>> BoundCorpus() {
+  std::vector<std::pair<std::string, MomentsSketch>> out;
+  const DatasetId ids[] = {DatasetId::kMilan,  DatasetId::kHepmass,
+                           DatasetId::kOccupancy, DatasetId::kRetail,
+                           DatasetId::kPower,  DatasetId::kExponential,
+                           DatasetId::kGauss};
+  for (DatasetId id : ids) {
+    MomentsSketch s(10);
+    for (double x : GenerateDataset(id, 20000)) s.Accumulate(x);
+    out.emplace_back(DatasetName(id), s);
+  }
+  MomentsSketch point(10), two_atom(10), negative(10);
+  Rng rng(41);
+  for (int i = 0; i < 5000; ++i) {
+    point.Accumulate(7.0);
+    two_atom.Accumulate(rng.NextDouble() < 0.6 ? 1.0 : 5.0);
+    negative.Accumulate(rng.NextGaussian() - 3.0);
+  }
+  out.emplace_back("point_mass", point);
+  out.emplace_back("two_atom", two_atom);
+  out.emplace_back("negative", negative);
+  return out;
+}
+
+TEST(CertifiedIntervalTest, BitIdenticalToPerProbeBisection) {
+  const std::vector<double> phis = {0.01, 0.1, 0.5, 0.9, 0.99};
+  for (const auto& [name, sketch] : BoundCorpus()) {
+    for (int steps : {24, 7}) {
+      for (double phi : phis) {
+        const QuantileInterval want = ReferenceInterval(sketch, phi, steps);
+        const QuantileInterval got =
+            CertifiedQuantileInterval(sketch, phi, steps);
+        EXPECT_EQ(Bits(got.lower), Bits(want.lower))
+            << name << " phi=" << phi << " steps=" << steps;
+        EXPECT_EQ(Bits(got.upper), Bits(want.upper))
+            << name << " phi=" << phi << " steps=" << steps;
+      }
+    }
+  }
+}
+
+TEST(CertifiedIntervalTest, MultiPhiEqualsPerPhiCalls) {
+  // Unsorted, with a repeat: memoised probes must not depend on order.
+  const std::vector<double> phis = {0.9, 0.01, 0.5, 0.99, 0.1, 0.5};
+  for (const auto& [name, sketch] : BoundCorpus()) {
+    const std::vector<QuantileInterval> many =
+        CertifiedQuantileIntervals(sketch, phis);
+    ASSERT_EQ(many.size(), phis.size());
+    for (size_t i = 0; i < phis.size(); ++i) {
+      const QuantileInterval one = CertifiedQuantileInterval(sketch, phis[i]);
+      EXPECT_EQ(Bits(many[i].lower), Bits(one.lower))
+          << name << " phi=" << phis[i];
+      EXPECT_EQ(Bits(many[i].upper), Bits(one.upper))
+          << name << " phi=" << phis[i];
+    }
+  }
+  EXPECT_TRUE(CertifiedQuantileIntervals(MomentsSketch(10), {}).empty());
+}
+
+TEST(RttBounderTest, MatchesOneShotBounds) {
+  for (const auto& [name, sketch] : BoundCorpus()) {
+    RttBounder bounder(sketch);
+    const double span = sketch.max() - sketch.min();
+    for (int j = -1; j <= 21; ++j) {
+      const double t = sketch.min() + span * j / 20.0;
+      const RankBounds rtt = RttBound(sketch, t);
+      const RankBounds markov = MarkovBound(sketch, t);
+      EXPECT_EQ(Bits(bounder.Rtt(t).lower), Bits(rtt.lower)) << name;
+      EXPECT_EQ(Bits(bounder.Rtt(t).upper), Bits(rtt.upper)) << name;
+      EXPECT_EQ(Bits(bounder.Markov(t).lower), Bits(markov.lower)) << name;
+      EXPECT_EQ(Bits(bounder.Markov(t).upper), Bits(markov.upper)) << name;
+    }
+  }
 }
 
 TEST(HankelConditionTest, SeparatesSmoothFromAtomic) {

@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "core/maxent_solver.h"
 #include "core/moments_sketch.h"
+#include "core/solver_cache.h"
 #include "cube/cube_store.h"
 #include "cube/summary_router.h"
 #include "ingest/streaming_cube.h"
@@ -162,8 +163,11 @@ TEST(SummaryRouterTest, SmoothCellAnswersFromMoments) {
   EXPECT_EQ(router.stats().moments_answers, 3u);
   EXPECT_EQ(router.stats().conditioning_rejects, 0u);
   EXPECT_EQ(router.stats().solver_failures, 0u);
-  // One solve shared by the whole batch, no hint -> cold.
-  EXPECT_EQ(router.stats().cold_solves + router.stats().warm_solves, 1u);
+  // One solve shared by the whole batch: no hint -> cold, or a solver
+  // cache hit when an earlier query solved the same sketch.
+  EXPECT_EQ(router.stats().warm_solves, 0u);
+  EXPECT_EQ(router.stats().cold_solves + router.stats().solver_cache_hits,
+            1u);
 }
 
 TEST(SummaryRouterTest, WarmHintChainsAcrossQueries) {
@@ -179,6 +183,92 @@ TEST(SummaryRouterTest, WarmHintChainsAcrossQueries) {
   EXPECT_TRUE(a.status.ok());
   EXPECT_EQ(a.backend, QuantileBackend::kMoments);
   EXPECT_GE(router.stats().warm_solves, 1u);
+}
+
+// Rows the rest of the file never queries, so only this test's own
+// queries populate the solver cache with this sketch.
+std::vector<double> CacheProbeData() {
+  Rng rng(0xcac4e);
+  std::vector<double> out;
+  for (int i = 0; i < 7919; ++i) out.push_back(rng.NextLognormal(1.0, 0.5));
+  return out;
+}
+
+TEST(SummaryRouterTest, RepeatedHintFreeQueryIsABitIdenticalCacheHit) {
+  const auto data = CacheProbeData();
+  MomentsSketch s = SketchOf(data);
+  KllSketch kll = KllOf(data);
+  RouterOptions no_cache;
+  no_cache.maxent.use_solver_cache = false;
+  SummaryRouter fresh(no_cache);
+  SummaryRouter cached;
+  for (double phi : kPhis) {
+    const CertifiedQuantile a = cached.Query(s, &kll, phi);
+    const CertifiedQuantile b = fresh.Query(s, &kll, phi);
+    ASSERT_TRUE(a.status.ok());
+    EXPECT_EQ(a.estimate, b.estimate) << "phi=" << phi;
+    EXPECT_EQ(a.interval.lower, b.interval.lower) << "phi=" << phi;
+    EXPECT_EQ(a.interval.upper, b.interval.upper) << "phi=" << phi;
+    EXPECT_EQ(a.backend, QuantileBackend::kMoments) << "phi=" << phi;
+    EXPECT_EQ(a.backend, b.backend) << "phi=" << phi;
+  }
+  // The first query solved and published (unless a repeated run of this
+  // test already did); the other four were hits, counted as neither warm
+  // nor cold solves.
+  EXPECT_LE(cached.stats().cold_solves, 1u);
+  EXPECT_EQ(cached.stats().cold_solves + cached.stats().solver_cache_hits,
+            5u);
+  EXPECT_EQ(cached.stats().warm_solves, 0u);
+  EXPECT_TRUE(cached.last_warm_start().valid());
+  EXPECT_EQ(fresh.stats().cold_solves, 5u);
+  EXPECT_EQ(fresh.stats().solver_cache_hits, 0u);
+}
+
+TEST(SummaryRouterTest, HintedQueriesBypassTheSolverCache) {
+  const auto data = NamedData("lognormal", 30000);
+  MomentsSketch s = SketchOf(data);
+  SummaryRouter seeder;
+  ASSERT_TRUE(seeder.Query(s, nullptr, 0.5).status.ok());
+  const WarmStart hint = seeder.last_warm_start();
+  ASSERT_TRUE(hint.valid());
+
+  const CacheStats before = GlobalSolverCache().stats();
+  SummaryRouter router;
+  for (double phi : kPhis) {
+    ASSERT_TRUE(router.Query(s, nullptr, phi, &hint).status.ok());
+  }
+  const CacheStats after = GlobalSolverCache().stats();
+  EXPECT_EQ(router.stats().solver_cache_hits, 0u);
+  EXPECT_EQ(router.stats().warm_solves + router.stats().cold_solves, 5u);
+  // Neither read nor written.
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.insertions, before.insertions);
+}
+
+TEST(SummaryRouterTest, DisjointCertificatesKeepTheKllEnclosure) {
+  // A KLL over the same rows shifted far to the right: its enclosures
+  // cannot meet the moment ones, so every phi is a conflict and the
+  // answer must carry the KLL certificate, not the moment one.
+  const auto data = NamedData("uniform", 20000);
+  std::vector<double> shifted = data;
+  for (double& v : shifted) v += 10.0;
+  MomentsSketch s = SketchOf(data);
+  KllSketch kll = KllOf(shifted);
+  SummaryRouter router;
+  for (double phi : kPhis) {
+    const CertifiedQuantile a = router.Query(s, &kll, phi);
+    auto kiv = kll.CertifiedInterval(phi);
+    ASSERT_TRUE(kiv.ok());
+    ASSERT_TRUE(a.status.ok());
+    EXPECT_TRUE(a.certified);
+    EXPECT_EQ(a.interval.lower, kiv.value().lower) << "phi=" << phi;
+    EXPECT_EQ(a.interval.upper, kiv.value().upper) << "phi=" << phi;
+    EXPECT_GE(a.estimate, a.interval.lower);
+    EXPECT_LE(a.estimate, a.interval.upper);
+  }
+  EXPECT_EQ(router.stats().certificate_conflicts, 5u);
+  EXPECT_EQ(router.stats().intersected_certificates, 0u);
 }
 
 TEST(SummaryRouterTest, KllIntersectionNeverWidensTheCertificate) {
@@ -261,7 +351,10 @@ TEST_P(RouterPropertyTest, NoRegressionOnWellConditionedCells) {
   auto pure = SolveMaxEnt(s, MaxEntOptions{});
   ASSERT_TRUE(pure.ok()) << GetParam().dataset
                          << ": expected a clean maxent solve";
-  SummaryRouter router;
+  // The router solves independently of `pure` (no cache hit).
+  RouterOptions no_cache;
+  no_cache.maxent.use_solver_cache = false;
+  SummaryRouter router(no_cache);
   for (double phi : kPhis) {
     const double truth = QuantileOfSorted(sorted, phi);
     CertifiedQuantile a = router.Query(s, &kll, phi);
@@ -441,6 +534,10 @@ TEST(StreamingCertifiedTest, EndToEndDualWrite) {
 // --------------------------------- mixed-backend durable recovery
 
 TEST(StreamingCertifiedTest, MixedBackendRecoveryIsBitExact) {
+  // The recovered cube must re-solve, not hit the live cube's entries in
+  // the process-wide solver cache.
+  MaxEntOptions no_cache;
+  no_cache.use_solver_cache = false;
   const std::string dir = MakeTempDir();
   DurabilityOptions durability;
   durability.dir = dir;
@@ -455,7 +552,7 @@ TEST(StreamingCertifiedTest, MixedBackendRecoveryIsBitExact) {
   std::vector<CertifiedQuantile> live_answers;
   const char* cells[] = {"uniform", "two_atom", "pareto_heavy"};
   {
-    StreamingCube cube(2, MomentsSummary(10), KllIngest());
+    StreamingCube cube(2, MomentsSummary(10, no_cache), KllIngest());
     ASSERT_TRUE(cube.EnableDurability(durability).ok());
     Rng rng(99);
     for (int epoch = 0; epoch < 7; ++epoch) {
@@ -486,7 +583,7 @@ TEST(StreamingCertifiedTest, MixedBackendRecoveryIsBitExact) {
   }
 
   RecoveryStats rs;
-  auto cube = StreamingCube::Recover(2, MomentsSummary(10), KllIngest(),
+  auto cube = StreamingCube::Recover(2, MomentsSummary(10, no_cache), KllIngest(),
                                      durability, &rs);
   ASSERT_TRUE(cube.ok()) << cube.status().ToString();
   EXPECT_TRUE(rs.checkpoint_loaded);
